@@ -7,11 +7,11 @@
 //   - internal/graph, internal/dynet: graphs, dynamic graphs, flooding,
 //     dynamic diameter, persistent-distance classes 𝒢(PD)_h;
 //   - internal/runtime: synchronous anonymous-broadcast execution engines
-//     (sequential and goroutine-per-node), both context-aware: a run can be
-//     canceled between rounds via RunSequentialCtx/RunConcurrentCtx, bounded
-//     per round with Config.RoundDeadline, and a panicking process is
-//     isolated and surfaced as a *ProcessPanicError instead of crashing the
-//     program;
+//     (the sequential reference loop and a sharded worker pool), both
+//     context-aware: a run can be canceled between rounds via
+//     RunSequentialCtx/RunShardedCtx, bounded per round with
+//     Config.RoundDeadline, and a panicking process is isolated and
+//     surfaced as a *ProcessPanicError instead of crashing the program;
 //   - internal/multigraph: the ℳ(DBL)ₖ dynamic bipartite labeled
 //     multigraphs and the Lemma 1 transformation to 𝒢(PD)₂;
 //   - internal/linalg, internal/kernel: the exact linear algebra behind

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"runtime"
 
@@ -52,6 +51,10 @@ import (
 func main() {
 	cli.Main("sweep", run)
 }
+
+// newHTTPServer builds the serve subcommand's server. It is a variable so
+// tests can inspect the server serve actually runs.
+var newHTTPServer = cli.NewHTTPServer
 
 func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	if len(args) > 0 && args[0] == "serve" {
@@ -191,7 +194,7 @@ func serve(ctx context.Context, args []string) (err error) {
 	fmt.Fprintf(os.Stderr, "sweep: serving campaigns on http://%s (datadir %s, %d slots)\n",
 		bound, *datadir, *maxCampaigns)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	select {

@@ -283,6 +283,27 @@ func TestServeLifecycle(t *testing.T) {
 	}
 }
 
+// The serve HTTP server carries the shared connection timeouts and no write
+// timeout, which would cut off long /stream responses.
+func TestServeServerTimeouts(t *testing.T) {
+	var hs *http.Server
+	prev := newHTTPServer
+	defer func() { newHTTPServer = prev }()
+	newHTTPServer = func(h http.Handler) *http.Server {
+		hs = prev(h)
+		return hs
+	}
+	_, stop := startServe(t, filepath.Join(t.TempDir(), "sweepd"))
+	stop()
+	if hs == nil {
+		t.Fatal("serve built no HTTP server")
+	}
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("serve timeouts: read-header %v, idle %v, write %v; want the first two set and no write timeout",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+}
+
 func TestServeUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"serve", "-max-campaigns", "0"},

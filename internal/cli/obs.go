@@ -71,7 +71,7 @@ func (o *ObsConfig) Start() error {
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", obs.Handler(o.col))
 	o.addr = ln.Addr().String()
-	o.srv = &http.Server{Handler: mux}
+	o.srv = NewHTTPServer(mux)
 	go func() { _ = o.srv.Serve(ln) }()
 	return nil
 }

@@ -124,6 +124,7 @@ func TestObsFlagsPprofServer(t *testing.T) {
 	if addr == "" {
 		t.Fatal("no listen address after Start")
 	}
+	checkServerTimeouts(t, cfg.srv)
 	obs.Global().Counter("test.live").Inc()
 	for _, path := range []string{"/metrics", "/debug/vars", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + addr + path)

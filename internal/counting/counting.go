@@ -25,7 +25,8 @@ import (
 )
 
 // Runner is an execution engine: runtime.RunSequential or
-// runtime.RunConcurrent.
+// runtime.RunSharded, or one of them bound to a context by
+// runtime.SequentialEngine or runtime.ShardedEngine.
 type Runner func(*runtime.Config) (int, error)
 
 // canon canonicalizes this package's message types for deterministic

@@ -10,16 +10,16 @@ import (
 	"anondyn/internal/graph"
 )
 
-// TestNoGoroutineLeak verifies that every worker goroutine is joined before
-// RunConcurrent and RunSharded return, on normal completion, early stop,
-// and every abort path: an adversary that errors at round 0, an adversary
-// that returns a malformed graph mid-run, a panicking process, a canceled
-// context, and a round-deadline overrun.
+// TestNoGoroutineLeak verifies that every goroutine an engine starts is
+// joined before RunSequential and RunSharded return, on normal completion,
+// early stop, and every abort path: an adversary that errors at round 0,
+// an adversary that returns a malformed graph mid-run, a panicking process,
+// a canceled context, and a round-deadline overrun.
 func TestNoGoroutineLeak(t *testing.T) {
 	baseline := gort.NumGoroutine()
 	runOnce := func(ctx context.Context, mutate func(c *Config)) {
 		for _, engine := range []func(context.Context, *Config) (int, error){
-			RunConcurrentCtx,
+			RunSequentialCtx,
 			RunShardedCtx,
 		} {
 			procs := newFloodProcs(20, 0)

@@ -91,15 +91,16 @@ func TestObsCountsSequentialRun(t *testing.T) {
 	}
 }
 
-func TestObsCountsConcurrentRun(t *testing.T) {
+func TestObsCountsShardedRun(t *testing.T) {
 	col := obs.New()
 	cfg := &Config{
 		Net:       dynet.NewStatic(graph.Path(5)),
 		Procs:     newFloodProcs(5, 0),
 		MaxRounds: 10,
+		Shards:    2,
 		Obs:       col,
 	}
-	if _, err := RunConcurrent(cfg); err != nil {
+	if _, err := RunSharded(cfg); err != nil {
 		t.Fatal(err)
 	}
 	snap := col.Snapshot()
@@ -111,6 +112,9 @@ func TestObsCountsConcurrentRun(t *testing.T) {
 	}
 	if h := snap.Histograms[obs.RuntimeRoundNS]; h.Count != 10 {
 		t.Errorf("round histogram count = %d, want 10", h.Count)
+	}
+	if got := snap.Gauges[obs.RuntimeShards]; got != 2 {
+		t.Errorf("%s = %d, want 2", obs.RuntimeShards, got)
 	}
 }
 

@@ -5,36 +5,33 @@
 // unlimited bandwidth, and a receive phase, in which it processes the
 // multiset of messages delivered by its neighbors.
 //
-// Three interchangeable engines are provided. The sequential engine runs
-// all processes in a deterministic loop and is the reference
-// implementation. The concurrent engine runs one goroutine per process,
-// with channel-based barriers separating the phases — goroutines map
-// one-to-one onto the paper's processes. The sharded engine partitions the
-// node range across a fixed worker pool and assembles deliveries into flat
-// engine-owned buffers, which is what scales to million-node networks.
-// Tests cross-check that all engines produce identical executions.
+// Two interchangeable engines are provided. The sequential engine runs all
+// processes in a deterministic loop and is the reference implementation.
+// The sharded engine partitions the node range across a fixed worker pool
+// whose phase barriers realize the synchronous rounds, and assembles
+// deliveries into flat engine-owned buffers, which is what scales to
+// million-node networks. Tests cross-check that both engines produce
+// identical executions.
 //
 // Anonymity is enforced structurally: a process is given only the multiset
 // of messages it received, in an order canonicalized by the message
 // encoding, never the identity of a sender.
 //
-// Both engines are cancellation-aware: RunSequentialCtx and
-// RunConcurrentCtx honor a context.Context at round granularity (checked
-// at the top of each round and between the send and receive phases), honor
-// an optional per-round wall-clock budget (Config.RoundDeadline), and
-// convert process panics into a typed *ProcessPanicError instead of
-// crashing the caller. RunSequential and RunConcurrent are thin wrappers
-// over context.Background(). For the same schedule the two engines return
-// identical round counts and identical errors on every exit path.
+// Both engines are cancellation-aware: RunSequentialCtx and RunShardedCtx
+// honor a context.Context at round granularity (checked at the top of each
+// round and between the send and receive phases), honor an optional
+// per-round wall-clock budget (Config.RoundDeadline), and convert process
+// panics into a typed *ProcessPanicError instead of crashing the caller.
+// RunSequential and RunSharded are thin wrappers over context.Background().
+// For the same schedule the two engines return identical round counts and
+// identical errors on every exit path.
 package runtime
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"time"
 
 	"anondyn/internal/dynet"
@@ -63,10 +60,8 @@ type Process interface {
 	// Ownership rule: msgs aliases an engine-owned buffer that is reused
 	// for the next round, so it is valid only for the duration of the
 	// call. A process that retains messages across rounds must copy the
-	// slice (the Message values themselves are never mutated by the
-	// engine and may be retained), or the run must set Config.CopyInboxes
-	// to restore caller-owned delivery at one allocation per node per
-	// round.
+	// slice; the Message values themselves are never mutated by the
+	// engine and may be retained.
 	Receive(r int, msgs []Message)
 }
 
@@ -125,7 +120,7 @@ type Config struct {
 	Canon Canonicalizer
 	// CanonKey, if non-nil, replaces Canon with an allocation-free integer
 	// canonical key: inboxes are sorted by ascending uint64 key, ties
-	// broken by sender id exactly as on the string path, in all three
+	// broken by sender id exactly as on the string path, in both
 	// engines. The caller owns collision behavior the same way it does
 	// with Canon — messages mapping to the same key form one ordering
 	// class. Protocol packages with an id-free message fingerprint should
@@ -141,17 +136,10 @@ type Config struct {
 	RoundDeadline time.Duration
 	// Shards is the worker count of the sharded engine (RunSharded): the
 	// node range is split into Shards contiguous partitions, each iterated
-	// by one persistent worker goroutine. Zero means GOMAXPROCS. The other
-	// engines ignore it. Executions are identical for every shard count.
+	// by one persistent worker goroutine. Zero means GOMAXPROCS. The
+	// sequential engine ignores it. Executions are identical for every
+	// shard count.
 	Shards int
-	// CopyInboxes, if true, makes every engine hand Receive a freshly
-	// allocated inbox slice the process may retain indefinitely — the
-	// pre-reuse delivery semantics, at one allocation per node per round.
-	// The default (false) keeps the zero-alloc buffer-reuse path, under
-	// which inbox slices are valid only for the duration of the Receive
-	// call (see the Process.Receive ownership rule). Set it for processes
-	// that retain their inbox slices across rounds.
-	CopyInboxes bool
 	// Stop, if non-nil, is evaluated after each round's receive phase;
 	// returning true ends the run after that round.
 	Stop func(completedRound int) bool
@@ -217,7 +205,7 @@ func (c *Config) canon() Canonicalizer {
 	return DefaultCanon
 }
 
-// Engine is the signature shared by RunSequential and RunConcurrent, used
+// Engine is the signature shared by RunSequential and RunSharded, used
 // by protocol helpers that are parameterized over the execution engine.
 type Engine = func(*Config) (int, error)
 
@@ -229,14 +217,9 @@ func SequentialEngine(ctx context.Context) Engine {
 	return func(cfg *Config) (int, error) { return RunSequentialCtx(ctx, cfg) }
 }
 
-// ConcurrentEngine binds ctx to the goroutine-per-node engine.
-func ConcurrentEngine(ctx context.Context) Engine {
-	return func(cfg *Config) (int, error) { return RunConcurrentCtx(ctx, cfg) }
-}
-
 // The per-phase guards convert a protocol panic into a *ProcessPanicError
 // attributed to node v at round r. The sequential engine wraps each
-// protocol call with one; the concurrent engine installs the equivalent
+// protocol call with one; the sharded engine installs the equivalent
 // recover in each worker goroutine. One dedicated function per phase keeps
 // the hot loop free of closure allocations.
 
@@ -268,90 +251,4 @@ func guardSetDegree(da DegreeAware, v, r, degree int) (err error) {
 	}()
 	da.SetDegree(r, degree)
 	return nil
-}
-
-// inboxEntry pairs a broadcast with its canonical key for sorting.
-type inboxEntry[K cmp.Ordered] struct {
-	key K
-	msg Message
-}
-
-// assembler groups a round's broadcasts into canonically ordered
-// per-receiver inboxes. The sequential and concurrent engines hold one per
-// run; the two instantiations of roundScratch (string keys from Canon,
-// uint64 keys from CanonKey) both satisfy it, so the engines' round loops
-// stay key-type agnostic.
-type assembler interface {
-	assemble(g *graph.Graph, outbox []Message) [][]Message
-}
-
-// roundScratch holds the engine-owned buffers reused across rounds when
-// assembling inboxes: the per-receiver inbox slices, the per-sender
-// canonical keys (computed once per sender per round instead of once per
-// comparison), and the neighbor/sort scratch. Reuse is what makes the
-// round loop allocation-free in steady state — and is why inbox slices
-// handed to Process.Receive are valid only during the call (see the
-// Receive ownership rule). It is generic over the canonical key type:
-// string for Config.Canon, uint64 for the Config.CanonKey fast path.
-type roundScratch[K cmp.Ordered] struct {
-	canon   func(Message) K
-	inboxes [][]Message
-	keys    []K
-	nb      []graph.NodeID
-	entries []inboxEntry[K]
-}
-
-// newAssembler picks the key representation for the run: the uint64 fast
-// path when Config.CanonKey is set, the string path otherwise.
-func newAssembler(cfg *Config, n int) assembler {
-	if cfg.CanonKey != nil {
-		return &roundScratch[uint64]{
-			canon:   cfg.CanonKey,
-			inboxes: make([][]Message, n),
-			keys:    make([]uint64, n),
-		}
-	}
-	return &roundScratch[string]{
-		canon:   cfg.canon(),
-		inboxes: make([][]Message, n),
-		keys:    make([]string, n),
-	}
-}
-
-// assemble groups the round's broadcasts by receiver and sorts each inbox
-// canonically. outbox[i] is the message node i broadcast on graph g. The
-// returned slices are owned by the scratch and overwritten by the next
-// assemble call.
-func (sc *roundScratch[K]) assemble(g *graph.Graph, outbox []Message) [][]Message {
-	n := g.N()
-	for u := 0; u < n; u++ {
-		sc.keys[u] = sc.canon(outbox[u])
-	}
-	for v := 0; v < n; v++ {
-		sc.nb = g.NeighborsAppend(graph.NodeID(v), sc.nb[:0])
-		sc.entries = sc.entries[:0]
-		for _, u := range sc.nb {
-			sc.entries = append(sc.entries, inboxEntry[K]{key: sc.keys[u], msg: outbox[u]})
-		}
-		// Stable by key with senders pre-sorted by NodeID: the same
-		// delivery order the previous sort.SliceStable-per-inbox produced.
-		// Inboxes of at most two messages — every node of a cycle or path,
-		// the protocol families' common case — order with one comparison
-		// instead of a generic sort call.
-		if len(sc.entries) == 2 {
-			if sc.entries[1].key < sc.entries[0].key {
-				sc.entries[0], sc.entries[1] = sc.entries[1], sc.entries[0]
-			}
-		} else if len(sc.entries) > 2 {
-			slices.SortStableFunc(sc.entries, func(a, b inboxEntry[K]) int {
-				return cmp.Compare(a.key, b.key)
-			})
-		}
-		in := sc.inboxes[v][:0]
-		for i := range sc.entries {
-			in = append(in, sc.entries[i].msg)
-		}
-		sc.inboxes[v] = in
-	}
-	return sc.inboxes
 }

@@ -96,70 +96,6 @@ func TestRunSequentialStopCondition(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatchesSequential(t *testing.T) {
-	// Same protocol, same dynamic network, both engines: identical
-	// per-node inbox histories.
-	net, err := dynet.NewRandomChurn(8, 0.3, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(engine func(*Config) (int, error)) []Process {
-		procs := newFloodProcs(8, 0)
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: 6}
-		if _, err := engine(cfg); err != nil {
-			t.Fatal(err)
-		}
-		return procs
-	}
-	seq := run(RunSequential)
-	con := run(RunConcurrent)
-	for v := range seq {
-		a := seq[v].(*floodProc)
-		b := con[v].(*floodProc)
-		if a.heardAt != b.heardAt {
-			t.Fatalf("node %d heardAt: seq %d vs con %d", v, a.heardAt, b.heardAt)
-		}
-		if len(a.received) != len(b.received) {
-			t.Fatalf("node %d inbox rounds: %d vs %d", v, len(a.received), len(b.received))
-		}
-		for r := range a.received {
-			if len(a.received[r]) != len(b.received[r]) {
-				t.Fatalf("node %d round %d inbox sizes differ", v, r)
-			}
-			for i := range a.received[r] {
-				if a.received[r][i] != b.received[r][i] {
-					t.Fatalf("node %d round %d msg %d differs", v, r, i)
-				}
-			}
-		}
-	}
-}
-
-func TestRunConcurrentStop(t *testing.T) {
-	procs := newFloodProcs(4, 0)
-	all := func(int) bool {
-		for _, p := range procs {
-			if !p.(*floodProc).has {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &Config{
-		Net:       dynet.NewStatic(graph.Path(4)),
-		Procs:     procs,
-		MaxRounds: 50,
-		Stop:      all,
-	}
-	rounds, err := RunConcurrent(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rounds != 3 {
-		t.Fatalf("rounds = %d, want 3", rounds)
-	}
-}
-
 func TestValidateErrors(t *testing.T) {
 	good := &Config{
 		Net:       dynet.NewStatic(graph.Path(2)),
@@ -183,8 +119,8 @@ func TestValidateErrors(t *testing.T) {
 			if _, err := RunSequential(&c); err == nil {
 				t.Fatal("sequential: want error")
 			}
-			if _, err := RunConcurrent(&c); err == nil {
-				t.Fatal("concurrent: want error")
+			if _, err := RunSharded(&c); err == nil {
+				t.Fatal("sharded: want error")
 			}
 		})
 	}
@@ -196,7 +132,7 @@ func TestZeroRoundsAndZeroNodes(t *testing.T) {
 		Procs:     nil,
 		MaxRounds: 5,
 	}
-	if r, err := RunConcurrent(cfg); err != nil || r != 0 {
+	if r, err := RunSharded(cfg); err != nil || r != 0 {
 		t.Fatalf("empty network: (%d, %v)", r, err)
 	}
 	cfg2 := &Config{
@@ -226,7 +162,7 @@ func TestDegreeOracleDelivery(t *testing.T) {
 	}
 	for name, engine := range map[string]func(*Config) (int, error){
 		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
+		"sharded":    RunSharded,
 	} {
 		t.Run(name, func(t *testing.T) {
 			procs := make([]Process, 4)
@@ -365,25 +301,6 @@ func TestOnRoundHook(t *testing.T) {
 	}
 }
 
-func TestConcurrentManyNodesRace(t *testing.T) {
-	// Exercised under -race in CI: 50 goroutine-backed processes over a
-	// churning network.
-	net, err := dynet.NewRandomChurn(50, 0.1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := newFloodProcs(50, 0)
-	cfg := &Config{Net: net, Procs: procs, MaxRounds: 8}
-	if _, err := RunConcurrent(cfg); err != nil {
-		t.Fatal(err)
-	}
-	for v, p := range procs {
-		if !p.(*floodProc).has {
-			t.Fatalf("node %d never heard the flood", v)
-		}
-	}
-}
-
 // Inboxes are multisets: two neighbors broadcasting equal messages deliver
 // two entries, and an isolated node receives an empty (non-nil-safe) inbox.
 func TestInboxMultisetSemantics(t *testing.T) {
@@ -431,7 +348,7 @@ func TestEnginesAgreeWithDegreeOracle(t *testing.T) {
 		return all
 	}
 	a := run(RunSequential)
-	b := run(RunConcurrent)
+	b := run(RunSharded)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

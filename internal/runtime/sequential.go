@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"time"
 
 	"anondyn/internal/graph"
@@ -12,7 +14,7 @@ import (
 // number of completed rounds. The run ends when Stop returns true or
 // MaxRounds rounds have completed, whichever is first.
 //
-// RunSequential and RunConcurrent implement the same semantics; the
+// RunSequential and RunSharded implement the same semantics; the
 // sequential engine is the reference implementation and is fully
 // deterministic. RunSequential is RunSequentialCtx over
 // context.Background().
@@ -27,14 +29,25 @@ func RunSequential(cfg *Config) (int, error) {
 // wall-clock time exceeds it aborts the run with a *RoundDeadlineError. A
 // panicking process aborts the run with a *ProcessPanicError instead of
 // propagating the panic.
+//
+// The key-typed body is dispatched on the canonicalizer: the uint64 path
+// when Config.CanonKey is set, the string path otherwise. Both
+// instantiations execute identical semantics.
 func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 	if err := cfg.validate(); err != nil {
 		return 0, err
 	}
+	if cfg.CanonKey != nil {
+		return runSequentialCtx(ctx, cfg, cfg.CanonKey)
+	}
+	return runSequentialCtx(ctx, cfg, cfg.canon())
+}
+
+func runSequentialCtx[K cmp.Ordered](ctx context.Context, cfg *Config, canon func(Message) K) (int, error) {
 	m := cfg.metrics()
 	n := cfg.Net.N()
 	outbox := make([]Message, n)
-	sc := newAssembler(cfg, n)
+	sc := roundScratch[K]{canon: canon, inboxes: make([][]Message, n), keys: make([]K, n)}
 	for r := 0; r < cfg.MaxRounds; r++ {
 		if err := ctx.Err(); err != nil {
 			m.cancels.Inc()
@@ -87,12 +100,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 			m.messages.Add(delivered(inboxes))
 		}
 		for v := 0; v < n; v++ {
-			msgs := inboxes[v]
-			if cfg.CopyInboxes {
-				// Caller-owned delivery: the process may retain this slice.
-				msgs = append([]Message(nil), msgs...)
-			}
-			if err := guardReceive(cfg.Procs[v], v, r, msgs); err != nil {
+			if err := guardReceive(cfg.Procs[v], v, r, inboxes[v]); err != nil {
 				m.panics.Inc()
 				return r, err
 			}
@@ -121,7 +129,7 @@ func RunSequentialCtx(ctx context.Context, cfg *Config) (int, error) {
 // process at node `leader` reports a terminal output via the Outputter
 // interface, or maxRounds elapse. It returns the output value and the number
 // of rounds used. If the leader never terminates, ok is false. Pass an
-// engine produced by SequentialEngine or ConcurrentEngine to run under a
+// engine produced by SequentialEngine or ShardedEngine to run under a
 // context.
 func RunUntilOutput(cfg *Config, leader int, run Engine) (value, rounds int, ok bool, err error) {
 	if leader < 0 || leader >= len(cfg.Procs) {
@@ -145,4 +153,64 @@ func RunUntilOutput(cfg *Config, leader int, run Engine) (value, rounds int, ok 
 	}
 	value, ok = out.Output()
 	return value, rounds, ok, nil
+}
+
+// inboxEntry pairs a broadcast with its canonical key for sorting.
+type inboxEntry[K cmp.Ordered] struct {
+	key K
+	msg Message
+}
+
+// roundScratch holds the sequential engine's buffers reused across rounds
+// when assembling inboxes: the per-receiver inbox slices, the per-sender
+// canonical keys (computed once per sender per round instead of once per
+// comparison), and the neighbor/sort scratch. Reuse is what makes the
+// round loop allocation-free in steady state — and is why inbox slices
+// handed to Process.Receive are valid only during the call (see the
+// Receive ownership rule). It is generic over the canonical key type:
+// string for Config.Canon, uint64 for the Config.CanonKey fast path.
+type roundScratch[K cmp.Ordered] struct {
+	canon   func(Message) K
+	inboxes [][]Message
+	keys    []K
+	nb      []graph.NodeID
+	entries []inboxEntry[K]
+}
+
+// assemble groups the round's broadcasts by receiver and sorts each inbox
+// canonically. outbox[i] is the message node i broadcast on graph g. The
+// returned slices are owned by the scratch and overwritten by the next
+// assemble call.
+func (sc *roundScratch[K]) assemble(g *graph.Graph, outbox []Message) [][]Message {
+	n := g.N()
+	for u := 0; u < n; u++ {
+		sc.keys[u] = sc.canon(outbox[u])
+	}
+	for v := 0; v < n; v++ {
+		sc.nb = g.NeighborsAppend(graph.NodeID(v), sc.nb[:0])
+		sc.entries = sc.entries[:0]
+		for _, u := range sc.nb {
+			sc.entries = append(sc.entries, inboxEntry[K]{key: sc.keys[u], msg: outbox[u]})
+		}
+		// Stable by key with senders pre-sorted by NodeID: the same
+		// delivery order the previous sort.SliceStable-per-inbox produced.
+		// Inboxes of at most two messages — every node of a cycle or path,
+		// the protocol families' common case — order with one comparison
+		// instead of a generic sort call.
+		if len(sc.entries) == 2 {
+			if sc.entries[1].key < sc.entries[0].key {
+				sc.entries[0], sc.entries[1] = sc.entries[1], sc.entries[0]
+			}
+		} else if len(sc.entries) > 2 {
+			slices.SortStableFunc(sc.entries, func(a, b inboxEntry[K]) int {
+				return cmp.Compare(a.key, b.key)
+			})
+		}
+		in := sc.inboxes[v][:0]
+		for i := range sc.entries {
+			in = append(in, sc.entries[i].msg)
+		}
+		sc.inboxes[v] = in
+	}
+	return sc.inboxes
 }

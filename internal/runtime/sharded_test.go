@@ -329,8 +329,8 @@ func TestRunShardedContextPaths(t *testing.T) {
 
 type slowProc struct{ d time.Duration }
 
-func (p *slowProc) Send(int) Message        { time.Sleep(p.d); return nil }
-func (p *slowProc) Receive(int, []Message)  {}
+func (p *slowProc) Send(int) Message       { time.Sleep(p.d); return nil }
+func (p *slowProc) Receive(int, []Message) {}
 
 func TestRunShardedRoundDeadline(t *testing.T) {
 	procs := make([]Process, 3)
@@ -369,9 +369,9 @@ func newStaticCSRNet(t *testing.T, g *graph.Graph) *staticCSRNet {
 	return &staticCSRNet{g: g, csr: c}
 }
 
-func (s *staticCSRNet) N() int                       { return s.g.N() }
-func (s *staticCSRNet) Snapshot(int) *graph.Graph    { return s.g }
-func (s *staticCSRNet) SnapshotCSR(int) *graph.CSR   { return s.csr }
+func (s *staticCSRNet) N() int                     { return s.g.N() }
+func (s *staticCSRNet) Snapshot(int) *graph.Graph  { return s.g }
+func (s *staticCSRNet) SnapshotCSR(int) *graph.CSR { return s.csr }
 
 func TestRunShardedCSRDynamicPath(t *testing.T) {
 	g := mustStar(8)
@@ -469,7 +469,7 @@ func TestLowerBound(t *testing.T) {
 }
 
 // retainingProc deliberately keeps every inbox slice it is handed, without
-// copying. Safe only under Config.CopyInboxes.
+// copying, breaking the Process.Receive ownership rule on purpose.
 type retainingProc struct {
 	id       int
 	retained [][]Message
@@ -480,76 +480,29 @@ func (p *retainingProc) Receive(_ int, msgs []Message) {
 	p.retained = append(p.retained, msgs)
 }
 
-// TestCopyInboxesRetainingProcess is the retaining-process regression test
-// for the PR-5 buffer-reuse semantics: a process that holds on to its inbox
-// slices observes silent corruption once the engine recycles the buffers —
-// on the pre-CopyInboxes engines this test's expectations fail, because the
-// round-0 slice is overwritten with round-2 contents. With
-// Config.CopyInboxes every engine hands out caller-owned slices and every
-// retained snapshot stays intact.
-func TestCopyInboxesRetainingProcess(t *testing.T) {
+// TestDefaultReuseOverwritesRetained pins the delivery contract: the
+// engine-owned inbox buffers really are recycled, so a process that retains
+// its slices sees them change. If this test starts failing, an engine
+// quietly began copying and the performance contract changed.
+func TestDefaultReuseOverwritesRetained(t *testing.T) {
 	const n, rounds = 5, 4
-	net := dynet.NewStatic(mustCycle(n))
-	engines := map[string]Engine{
-		"sequential": RunSequential,
-		"concurrent": RunConcurrent,
-		"sharded":    RunSharded,
-	}
-	for name, engine := range engines {
+	for name, engine := range map[string]Engine{"sequential": RunSequential, "sharded": RunSharded} {
 		procs := make([]Process, n)
 		for i := range procs {
 			procs[i] = &retainingProc{id: i}
 		}
-		cfg := &Config{Net: net, Procs: procs, MaxRounds: rounds, Shards: 2, CopyInboxes: true}
+		cfg := &Config{Net: dynet.NewStatic(mustCycle(n)), Procs: procs, MaxRounds: rounds, Shards: 2}
 		if _, err := engine(cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for v := 0; v < n; v++ {
-			p := procs[v].(*retainingProc)
-			if len(p.retained) != rounds {
-				t.Fatalf("%s: node %d retained %d rounds, want %d", name, v, len(p.retained), rounds)
+		p := procs[0].(*retainingProc)
+		first := p.retained[0]
+		// Node 0's neighbors at round 0 sent "100" and "400"; by round 3 the
+		// recycled buffer holds round-3 values.
+		for _, m := range first {
+			if m == "100" || m == "400" {
+				t.Fatalf("%s: retained round-0 inbox still holds round-0 message %v: buffer reuse disappeared", name, m)
 			}
-			// Cycle neighbors of v send id*100+r: each retained round-r
-			// slice must still hold round r's messages, not a later
-			// round's.
-			l, r := (v+n-1)%n, (v+1)%n
-			for round := 0; round < rounds; round++ {
-				want := map[Message]bool{
-					strconv.Itoa(l*100 + round): true,
-					strconv.Itoa(r*100 + round): true,
-				}
-				got := p.retained[round]
-				if len(got) != 2 || !want[got[0]] || !want[got[1]] {
-					t.Fatalf("%s: node %d round %d retained %v, want messages from nodes %d and %d of that round",
-						name, v, round, got, l, r)
-				}
-			}
-		}
-	}
-}
-
-// TestDefaultReuseOverwritesRetained pins the flip side: under the default
-// zero-copy contract the engine-owned buffers really are recycled, so a
-// retaining process sees its old slices change — the exact footgun
-// CopyInboxes exists to close. If this test starts failing, the engines
-// quietly began copying and the performance contract changed.
-func TestDefaultReuseOverwritesRetained(t *testing.T) {
-	const n, rounds = 5, 4
-	procs := make([]Process, n)
-	for i := range procs {
-		procs[i] = &retainingProc{id: i}
-	}
-	cfg := &Config{Net: dynet.NewStatic(mustCycle(n)), Procs: procs, MaxRounds: rounds}
-	if _, err := RunSequential(cfg); err != nil {
-		t.Fatal(err)
-	}
-	p := procs[0].(*retainingProc)
-	first := p.retained[0]
-	// Node 0's neighbors at round 0 sent "100" and "400"; by round 3 the
-	// recycled buffer holds round-3 values.
-	for _, m := range first {
-		if m == "100" || m == "400" {
-			t.Fatalf("retained round-0 inbox still holds round-0 message %v: buffer reuse disappeared", m)
 		}
 	}
 }

@@ -124,21 +124,29 @@ func TestRunBoundedRetriesExhaust(t *testing.T) {
 	}
 }
 
+// TestRunCancellationStopsPromptly cancels from inside the third job. Every
+// later job waits for the cancel before it returns, so no worker can finish
+// a job after the cancel other than the one it was already running: the
+// run stops with at most 3 + Workers executed jobs, however the scheduler
+// interleaves the workers.
 func TestRunCancellationStopsPromptly(t *testing.T) {
+	const workers = 2
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed atomic.Int64
 	fn := func(ctx context.Context, job Job) (Result, error) {
-		if executed.Add(1) == 3 {
+		if n := executed.Add(1); n == 3 {
 			cancel()
+		} else if n > 3 {
+			<-ctx.Done()
 		}
 		return Result{Rounds: job.Trial}, nil
 	}
-	rep, err := Run(ctx, testJobs(1000), fn, Options{Workers: 2})
+	rep, err := Run(ctx, testJobs(1000), fn, Options{Workers: workers})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if rep.Executed >= 1000 {
-		t.Fatal("cancellation did not stop the run")
+	if rep.Executed > 3+workers {
+		t.Fatalf("executed %d jobs after cancellation at the third, want <= %d", rep.Executed, 3+workers)
 	}
 }
 
