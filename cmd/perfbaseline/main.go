@@ -4,9 +4,9 @@
 // incremental kernel solve on a worst-case schedule, the coalesced solver's
 // indexed ingestion path (including the million-node stream feed), the
 // linalg RREF fast path on both sides of the int64→big.Int fallback
-// boundary, the history-tree counter's view-merge hot path (the raw
-// bitset MergeCollect plus full Count runs on a 64-node cycle and a
-// 1024-node cycle — the latter proves the counter scales past toy sizes),
+// boundary, the history-tree counter end to end (full Count runs on
+// 64-, 1024- and 2048-node cycles — the larger two prove the counter
+// scales past toy sizes),
 // a full smoke sweep campaign, and the raw obs handle operations
 // — and writes the results as JSON (BENCH_PR10.json). The committed
 // snapshot is the reference
@@ -117,9 +117,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		{"runtime/sharded-mdbl2/n1e6", shardedMillionBench},
 		{"kernel/stream-feed/n1e6", streamFeedBench()},
 		{"kernel/incremental-solve/n364", kernelBench},
-		{"histtree/view-merge/64wx8", histMergeBench()},
 		{"histtree/count/cycle-n64", histCountBench},
-		{"histtree/count/cycle-n1024", histCountLargeBench},
+		{"histtree/count/cycle-n1024", histCountLargeBench(1024)},
+		{"histtree/count/cycle-n2048", histCountLargeBench(2048)},
 		{"kernel/coalesced-solver/w40", solverBench()},
 		{"linalg/rref/int64-16x17", rrefBench(16, 17, 9, false)},
 		{"linalg/rref/spill-16x17", rrefBench(16, 17, 1<<32, false)},
@@ -441,40 +441,9 @@ func streamFeedBench() func(b *testing.B) {
 	}
 }
 
-// histMergeBench isolates the history-tree counter's per-round hot path:
-// MergeCollect, the word-wise bitset OR that folds a received view into the
-// leader's while collecting every newly visible class id. Eight snapshots of
-// ~12.5% density over 4096 class ids (64 words) are precomputed; each op
-// folds all eight into a fresh view, so the number includes the collect
-// loop's bit-extraction, not just the OR.
-func histMergeBench() func(b *testing.B) {
-	return func(b *testing.B) {
-		const words, snaps = 64, 8
-		rng := rand.New(rand.NewSource(7))
-		snapshots := make([][]uint64, snaps)
-		for i := range snapshots {
-			s := make([]uint64, words)
-			for j := range s {
-				s[j] = rng.Uint64() & rng.Uint64() & rng.Uint64()
-			}
-			snapshots[i] = s
-		}
-		out := make([]int32, 0, words*64)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var v histtree.View
-			out = out[:0]
-			for _, s := range snapshots {
-				out = v.MergeCollect(s, out)
-			}
-		}
-	}
-}
-
 // histCountBench runs the full history-tree counting protocol on a static
-// 64-node cycle: interning (Extend), view snapshots, merges, and the
-// leader's stable-pair solve, end to end, on the sequential engine. The
+// 64-node cycle: interning (Extend), the leader's closure walk, and its
+// stable-pair solve, end to end, on the sequential engine. The
 // cycle is the family the O(n) slope is pinned on, so this is the
 // protocol's representative whole-run cost at bench scale.
 func histCountBench(b *testing.B) {
@@ -496,29 +465,30 @@ func histCountBench(b *testing.B) {
 	}
 }
 
-// histCountLargeBench is the same whole-protocol run on a 1024-node cycle:
-// ~2.5·n rounds over a million-class history tree. At this scale the
-// per-message full-view snapshots of the pre-delta encoding dominated the
-// run (quadratic bytes copied per round); the workload pins the counter's
-// large-n behavior so the delta-broadcast path cannot silently regress
-// back to it. One iteration takes tens of seconds, so the benchmark
-// effectively records single-run timings.
-func histCountLargeBench(b *testing.B) {
-	const n = 1024
-	g, err := graph.Cycle(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net := dynet.NewStatic(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		count, _, err := histtree.Count(net, 0, 3*n+10, engine.RunSequential)
+// histCountLargeBench is the same whole-protocol run on an n-node cycle:
+// ~2.5·n rounds over a history tree of ~n²/2 classes, where the leader's
+// closure walk and the tree's interning dominate. The 1024- and 2048-node
+// workloads pin the counter's large-n behavior, so a return to per-message
+// view payloads (quadratic bytes copied per round) shows at once. One
+// iteration takes around a second or more, so the benchmark effectively
+// records single-run timings.
+func histCountLargeBench(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		g, err := graph.Cycle(n)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if count != n {
-			b.Fatalf("count = %d, want %d", count, n)
+		net := dynet.NewStatic(g)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			count, _, err := histtree.Count(net, 0, 3*n+10, engine.RunSequential)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if count != n {
+				b.Fatalf("count = %d, want %d", count, n)
+			}
 		}
 	}
 }

@@ -14,12 +14,11 @@ func (g *Graph) BFSDistances(src NodeID) []int {
 		return dist
 	}
 	dist[src] = 0
-	idx := g.index()
 	queue := make([]NodeID, 0, g.n)
 	queue = append(queue, src)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		for _, v := range idx.nbrs[idx.off[u]:idx.off[u+1]] {
+		for _, v := range g.adj[u] {
 			if dist[v] == Unreachable {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -127,7 +126,7 @@ func (g *Graph) CountPaths(u, v NodeID) int {
 	}
 	for d := 1; d <= g.n; d++ {
 		for _, w := range byDist[d] {
-			for p := range g.adj[w] {
+			for _, p := range g.adj[w] {
 				if dist[p] == d-1 {
 					count[w] += count[p]
 				}

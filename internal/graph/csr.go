@@ -7,9 +7,10 @@ import (
 
 // CSR is a compressed-sparse-row adjacency view of a graph: the neighbors
 // of node v are Nbrs[Offsets[v]:Offsets[v+1]], in ascending order. It is the
-// flat-memory representation the sharded round engine consumes — at 10⁶
-// nodes the map-based Graph adjacency costs hundreds of megabytes and a
-// pointer chase per edge, while a CSR is two contiguous arrays.
+// flat-memory representation the sharded round engine consumes — a Graph
+// keeps a separately grown neighbour row per node, while a CSR is two
+// contiguous arrays that a producer refills round after round without
+// allocating.
 //
 // Invariants (checked by Validate):
 //

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -64,23 +65,48 @@ func Complete(n int) *Graph {
 // spanning tree (random Prüfer-free attachment) plus each extra edge added
 // independently with probability p. The rng drives all randomness so results
 // are reproducible.
+//
+// Edges are drawn into an n×n adjacency bitset and emitted row by row in
+// ascending order, so every row is built by appends into one shared backing
+// array. The draws — the permutation, one Intn per tree edge, then one
+// Float64 per absent pair in (u, v) order — are the generator's contract:
+// the same rng state yields the same graph.
 func RandomConnected(n int, p float64, rng *rand.Rand) *Graph {
 	g := New(n)
 	if n <= 1 {
 		return g
 	}
+	words := (n + 63) >> 6
+	mat := make([]uint64, n*words) // row u occupies mat[u*words : (u+1)*words]
+	has := func(u, v int) bool { return mat[u*words+v>>6]&(1<<uint(v&63)) != 0 }
+	edges := 0
+	mark := func(u, v int) {
+		mat[u*words+v>>6] |= 1 << uint(v&63)
+		mat[v*words+u>>6] |= 1 << uint(u&63)
+		edges++
+	}
 	// Random attachment tree: node i attaches to a uniform earlier node.
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		j := rng.Intn(i)
-		_ = g.AddEdge(NodeID(perm[i]), NodeID(perm[j]))
+		mark(perm[i], perm[j])
 	}
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			if !g.HasEdge(NodeID(u), NodeID(v)) && rng.Float64() < p {
-				_ = g.AddEdge(NodeID(u), NodeID(v))
+			if !has(u, v) && rng.Float64() < p {
+				mark(u, v)
 			}
 		}
+	}
+	buf := make([]NodeID, 0, 2*edges)
+	for u := 0; u < n; u++ {
+		off := len(buf)
+		for w, word := range mat[u*words : (u+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				buf = append(buf, NodeID(w<<6+bits.TrailingZeros64(word)))
+			}
+		}
+		g.adj[u] = buf[off:len(buf):len(buf)]
 	}
 	return g
 }

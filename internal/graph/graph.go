@@ -11,9 +11,7 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
-	"sync/atomic"
 )
 
 // NodeID identifies a node within a graph. Nodes are dense integers in
@@ -45,50 +43,15 @@ func (e Edge) String() string {
 // Graph is an undirected simple graph over nodes 0..n-1.
 // The zero value is an empty graph with no nodes; use New.
 //
-// Reads are safe for concurrent use; mutation (AddEdge, RemoveEdge) must
-// not race with readers — the same contract as the adjacency maps. The
-// first sorted-neighbor traversal builds a CSR index of the adjacency
-// (offsets + concatenated sorted neighbor lists) which subsequent
-// traversals reuse; the runtime engines walk every node's neighborhood
-// each round, so the index turns that hot path from per-round map
-// iteration and sorting into a copy of a precomputed slice. Mutators drop
-// the index.
+// The adjacency is one sorted neighbour slice per node, so the sorted
+// traversals the runtime engines and BFS perform every round are plain
+// slice reads, membership is a binary search, and building a snapshot
+// needs no per-node allocation beyond its rows. Reads are safe for
+// concurrent use; mutation (AddEdge, RemoveEdge) must not race with
+// readers.
 type Graph struct {
 	n   int
-	adj []map[NodeID]struct{}
-	csr atomic.Pointer[csrIndex]
-}
-
-// csrIndex is the frozen adjacency: neighbors of v, in ascending order,
-// are nbrs[off[v]:off[v+1]].
-type csrIndex struct {
-	off  []int32
-	nbrs []NodeID
-}
-
-// index returns the CSR adjacency, building it on first use. Concurrent
-// first calls may build duplicate indexes; one wins the CAS and the rest
-// are discarded — all are equal, so readers never observe inconsistency.
-func (g *Graph) index() *csrIndex {
-	if idx := g.csr.Load(); idx != nil {
-		return idx
-	}
-	idx := &csrIndex{off: make([]int32, g.n+1)}
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	idx.nbrs = make([]NodeID, 0, total)
-	for v := 0; v < g.n; v++ {
-		base := len(idx.nbrs)
-		for u := range g.adj[v] {
-			idx.nbrs = append(idx.nbrs, u)
-		}
-		slices.Sort(idx.nbrs[base:])
-		idx.off[v+1] = int32(len(idx.nbrs))
-	}
-	g.csr.CompareAndSwap(nil, idx)
-	return idx
+	adj [][]NodeID // adj[v]: the neighbours of v, strictly ascending
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -97,11 +60,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	adj := make([]map[NodeID]struct{}, n)
-	for i := range adj {
-		adj[i] = make(map[NodeID]struct{})
-	}
-	return &Graph{n: n, adj: adj}
+	return &Graph{n: n, adj: make([][]NodeID, n)}
 }
 
 // FromEdges builds a graph with n nodes and the given edges.
@@ -157,10 +116,29 @@ func (g *Graph) AddEdge(u, v NodeID) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at node %d", u)
 	}
-	g.adj[u][v] = struct{}{}
-	g.adj[v][u] = struct{}{}
-	g.csr.Store(nil)
+	g.link(u, v)
+	g.link(v, u)
 	return nil
+}
+
+// link inserts v into u's neighbour row, keeping it ascending. Generators
+// add edges mostly in ascending order, which the append fast path serves.
+func (g *Graph) link(u, v NodeID) {
+	row := g.adj[u]
+	if k := len(row); k == 0 || row[k-1] < v {
+		g.adj[u] = append(row, v)
+		return
+	}
+	if i, found := slices.BinarySearch(row, v); !found {
+		g.adj[u] = slices.Insert(row, i, v)
+	}
+}
+
+// unlink removes v from u's neighbour row if present.
+func (g *Graph) unlink(u, v NodeID) {
+	if i, found := slices.BinarySearch(g.adj[u], v); found {
+		g.adj[u] = slices.Delete(g.adj[u], i, i+1)
+	}
 }
 
 // RemoveEdge deletes the undirected edge {u,v} if present.
@@ -171,9 +149,8 @@ func (g *Graph) RemoveEdge(u, v NodeID) error {
 	if err := g.check(v); err != nil {
 		return err
 	}
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
-	g.csr.Store(nil)
+	g.unlink(u, v)
+	g.unlink(v, u)
 	return nil
 }
 
@@ -182,7 +159,7 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	if u < 0 || int(u) >= g.n || v < 0 || int(v) >= g.n {
 		return false
 	}
-	_, ok := g.adj[u][v]
+	_, ok := slices.BinarySearch(g.adj[u], v)
 	return ok
 }
 
@@ -211,36 +188,32 @@ func (g *Graph) NeighborsAppend(v NodeID, dst []NodeID) []NodeID {
 	if v < 0 || int(v) >= g.n {
 		return dst
 	}
-	idx := g.index()
-	return append(dst, idx.nbrs[idx.off[v]:idx.off[v+1]]...)
+	return append(dst, g.adj[v]...)
 }
 
 // Edges returns all edges in canonical order (sorted by (U,V)).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.M())
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			if NodeID(u) < v {
-				out = append(out, Edge{U: NodeID(u), V: v})
-			}
+	for u, row := range g.adj {
+		// Rows ascend, so the u < v suffix starts past u's position.
+		i, _ := slices.BinarySearch(row, NodeID(u))
+		for _, v := range row[i:] {
+			out = append(out, Edge{U: NodeID(u), V: v})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
 	return out
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph. The rows share one backing
+// array, each capacity-clamped so a later AddEdge on the clone reallocates
+// its row instead of overwriting the next one.
 func (g *Graph) Clone() *Graph {
 	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := range g.adj[u] {
-			c.adj[u][v] = struct{}{}
-		}
+	buf := make([]NodeID, 0, 2*g.M())
+	for u, row := range g.adj {
+		off := len(buf)
+		buf = append(buf, row...)
+		c.adj[u] = buf[off:len(buf):len(buf)]
 	}
 	return c
 }
@@ -250,14 +223,9 @@ func (g *Graph) Equal(h *Graph) bool {
 	if g.n != h.n {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != len(h.adj[u]) {
+	for u, row := range g.adj {
+		if !slices.Equal(row, h.adj[u]) {
 			return false
-		}
-		for v := range g.adj[u] {
-			if _, ok := h.adj[u][v]; !ok {
-				return false
-			}
 		}
 	}
 	return true

@@ -56,7 +56,7 @@ func (g *Graph) Bipartition() (a, b []NodeID, ok bool) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for v := range g.adj[u] {
+			for _, v := range g.adj[u] {
 				if color[v] == 0 {
 					color[v] = 3 - color[u]
 					queue = append(queue, v)
@@ -94,7 +94,7 @@ func (g *Graph) InducedSubgraph(nodes []NodeID) *Graph {
 	}
 	sub := New(len(kept))
 	for _, u := range kept {
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			j, ok := idx[v]
 			if ok && idx[u] < j {
 				_ = sub.AddEdge(NodeID(idx[u]), NodeID(j))

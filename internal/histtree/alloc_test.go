@@ -7,15 +7,14 @@ import (
 )
 
 // TestNonLeaderRoundAllocCeiling locks the amortized allocation budget of
-// the non-leader hot path: Send plus absorb, round after round. Two
-// processes exchange delta views on a shared tree for many rounds; each
-// round interns one new class per process (the miss path) and merges two
-// messages, so the ceiling covers the amortized cost of every append the
-// path performs — tree growth, arena growth, view growth, delta growth,
-// and rebase snapshots — and fails if any of them stops amortizing (for
+// the non-leader hot path: Send plus Receive, round after round. Two
+// processes exchange class messages on a shared tree for many rounds; each
+// round interns one new class per process (the miss path), so the ceiling
+// covers the amortized cost of every append the path performs — tree
+// growth and arena growth — and fails if any of them stops amortizing (for
 // example, a per-message snapshot or a per-round map would blow through
-// it immediately: the pre-rework protocol spent ~14 allocations per
-// process-round on snapshots alone).
+// it immediately: the original view-snapshot protocol spent ~14
+// allocations per process-round on snapshots alone).
 func TestNonLeaderRoundAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -47,7 +46,7 @@ func TestCanonAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	msg := &viewDelta{cur: 3, hash: 0x1234abcd5678ef90, base: make([]uint64, 7)}
+	msg := &classMsg{cur: 3, hash: 0x1234abcd5678ef90}
 	var sinkKey uint64
 	if avg := testing.AllocsPerRun(100, func() {
 		sinkKey += canonKey(msg)

@@ -3,9 +3,7 @@ package histtree
 import (
 	"fmt"
 	"math/big"
-	"math/bits"
 	"slices"
-	"strconv"
 
 	"anondyn/internal/dynet"
 	"anondyn/internal/graph"
@@ -16,130 +14,79 @@ import (
 // runtime's engines and interchangeable with counting.Runner values.
 type Runner = runtime.Engine
 
-// viewMsg is the legacy full-snapshot broadcast: the sender's current
-// class, its id-free hash, and a copy of its view bitset. Current senders
-// broadcast *viewDelta (see delta.go); viewMsg remains accepted by every
-// receiver and ordered by the same canon, so full-snapshot and delta
-// senders interoperate within one execution.
-type viewMsg struct {
+// classMsg is the per-round broadcast: the sender's current class and its
+// id-free structural hash (for engine-independent canonical ordering).
+// The class id alone carries the sender's whole view — the closure of the
+// class under parent and red edges in the shared tree — so nothing else
+// travels. Each process reuses one classMsg and returns its address from
+// Send; the engines' phase barriers order every Receive of round r before
+// any Send of round r+1, so a receiver never sees it change mid-read.
+type classMsg struct {
 	cur  int32
 	hash uint64
-	bits []uint64
 }
 
 // canonKey orders inboxes by the structural hash of the sender's class —
 // the allocation-free uint64 fast path the engines prefer over canonMsg.
 // Ties (hash collisions, or two members of the same class) are broken by
-// the engines' stable sort on sender id; the protocol's merges are
-// commutative, so delivery order never affects the outcome. Non-protocol
+// the engines' stable sort on sender id; a receiver only counts senders
+// per class, so delivery order never affects the outcome. Non-protocol
 // messages never occur in a Count run; they all map to key 0.
 func canonKey(m runtime.Message) uint64 {
-	switch vm := m.(type) {
-	case *viewDelta:
-		return vm.hash
-	case viewMsg:
-		return vm.hash
+	if cm, ok := m.(*classMsg); ok {
+		return cm.hash
 	}
 	return 0
 }
 
 // canonMsg is the string canon retained as the engines' fallback when no
-// CanonKey is configured (and for mixed-protocol runs that need
-// DefaultCanon for foreign messages). It performs exactly one allocation —
-// the final string — instead of going through fmt.
+// CanonKey is configured: "h:" and the sender class's structural hash in
+// 16 hex digits. It performs exactly one allocation — the final string —
+// instead of going through fmt.
 func canonMsg(m runtime.Message) string {
-	var h uint64
-	var n int
-	switch vm := m.(type) {
-	case *viewDelta:
-		h, n = vm.hash, len(vm.base)
-	case viewMsg:
-		h, n = vm.hash, len(vm.bits)
-	default:
+	cm, ok := m.(*classMsg)
+	if !ok {
 		return runtime.DefaultCanon(m)
 	}
 	const hexdigits = "0123456789abcdef"
-	var buf [40]byte
+	var buf [18]byte
 	b := append(buf[:0], 'h', ':')
 	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, hexdigits[(h>>uint(shift))&0xf])
+		b = append(b, hexdigits[(cm.hash>>uint(shift))&0xf])
 	}
-	b = append(b, ':')
-	b = strconv.AppendInt(b, int64(n), 10)
 	return string(b)
 }
 
-// proc is a non-leader process: it tracks its current class and its view,
-// and each round extends the tree with the class multiset it heard. Its
-// broadcast is delta-encoded: base is the immutable snapshot shared by
-// every message since the last rebase, delta the class ids added since.
+// proc is a non-leader process. It holds no view: its class in the shared
+// tree determines its view, so each round it only extends the tree with
+// the class multiset it heard and broadcasts the new class.
 type proc struct {
 	tree    *Tree
-	view    View
 	cur     int32
 	curHash uint64
 	heard   []int32   // scratch: sender classes this round
 	pairs   []RedEdge // scratch: the multiset passed to Extend
-
-	base      []uint64    // current base snapshot (one of baseBufs)
-	baseBufs  [2][]uint64 // alternating rebase targets; see delta.go
-	baseIdx   int         // which buffer base points at
-	epoch     int32       // rebase counter carried in outgoing messages
-	delta     []wordMask  // view bits added since base was taken
-	published int         // delta entries frozen by the last Send
-	out       viewDelta   // reused outgoing message (see delta.go)
-	seen      mergeCache  // bases already merged, for delta-suffix skipping
+	out     classMsg  // reused outgoing message
 }
 
 func newProc(t *Tree, leader bool) proc {
 	p := proc{tree: t, cur: t.Root(leader)}
 	p.curHash = t.Hash(p.cur)
-	p.view.Add(p.cur)
-	p.delta = append(p.delta, wordMask{w: p.cur >> 6, mask: 1 << uint(p.cur&63)})
 	return p
 }
 
 func (p *proc) Send(int) runtime.Message {
-	if p.base == nil || len(p.delta) >= rebaseThreshold(len(p.view.bits)) {
-		// Rebase into the buffer published two epochs ago — no message
-		// referencing it is still live (see delta.go) — so the steady
-		// state recycles two buffers instead of allocating snapshots.
-		p.baseIdx ^= 1
-		buf := append(p.baseBufs[p.baseIdx][:0], p.view.bits...)
-		p.baseBufs[p.baseIdx] = buf
-		p.base = buf
-		p.epoch++
-		p.delta = p.delta[:0]
-		p.out.base = p.base
-		p.out.epoch = p.epoch
-	}
-	p.out.cur, p.out.hash = p.cur, p.curHash
-	// Refresh the delta header only when it changed: its length grows
-	// strictly between Sends (so equal length means no append happened and
-	// the backing array is unchanged), and skipping the store avoids a
-	// pointer write barrier on every per-neighbor Send.
-	if len(p.out.delta) != len(p.delta) {
-		p.out.delta = p.delta
-	}
-	p.published = len(p.delta)
+	p.out = classMsg{cur: p.cur, hash: p.curHash}
 	return &p.out
 }
 
-// absorb performs the round's receive: intern the new class, merge the
-// received views, and record the new class in the view. Every newly
-// visible class id lands in p.delta; the returned index marks where this
-// round's additions start, so the leader can index them incrementally.
-// Entries below the returned index are never mutated during the receive:
-// addDelta coalesces only into entries past the published mark, which
-// equals len(p.delta) when the receive begins.
-func (p *proc) absorb(msgs []runtime.Message) int {
+// Receive performs the round's receive: the new class is the child of the
+// current one whose red edges count the senders heard per class.
+func (p *proc) Receive(_ int, msgs []runtime.Message) {
 	p.heard = p.heard[:0]
 	for _, m := range msgs {
-		switch vm := m.(type) {
-		case *viewDelta:
-			p.heard = append(p.heard, vm.cur)
-		case viewMsg:
-			p.heard = append(p.heard, vm.cur)
+		if cm, ok := m.(*classMsg); ok {
+			p.heard = append(p.heard, cm.cur)
 		}
 	}
 	slices.Sort(p.heard)
@@ -153,24 +100,6 @@ func (p *proc) absorb(msgs []runtime.Message) int {
 		i = j
 	}
 	p.cur, p.curHash = p.tree.ExtendHash(p.cur, p.pairs)
-	start := len(p.delta)
-	for _, m := range msgs {
-		p.mergeMsg(m)
-	}
-	w := int(p.cur >> 6)
-	m := uint64(1) << uint(p.cur&63)
-	if w >= len(p.view.bits) {
-		p.view.grow(w)
-	}
-	if p.view.bits[w]&m == 0 {
-		p.view.bits[w] |= m
-		p.addDelta(int32(w), m)
-	}
-	return start
-}
-
-func (p *proc) Receive(_ int, msgs []runtime.Message) {
-	p.absorb(msgs)
 }
 
 // classInfo is the leader's lock-free cache of a class's structure.
@@ -219,6 +148,8 @@ type pairCache struct {
 // acceptance rule before terminating with the count.
 type leaderProc struct {
 	proc
+	seen     View        // the leader's view: every class reachable from cur
+	stack    []int32     // scratch: closure DFS frontier
 	perLevel [][]int32   // visible class ids, grouped by level
 	info     []classInfo // cache indexed by class id
 	own      []int32     // own[t] = the leader's class at level t
@@ -262,20 +193,46 @@ func newLeaderProc(t *Tree) *leaderProc {
 		cache: pairCache{t: -1},
 	}
 	l.own = append(l.own, l.cur)
-	l.note(l.cur)
+	l.grow()
 	return l
 }
 
-// note indexes a newly visible class by level and caches its structure.
-func (l *leaderProc) note(id int32) {
+// grow extends the leader's view to the closure of its current class under
+// parent (black) and red edges, indexing each newly reached class. By
+// induction the closure is exactly the OR-merged view of the
+// view-exchanging protocol: view(p, r) = view(p, r-1) ∪ ⋃ view(q, r-1) ∪
+// {class(p, r)} over the senders q that p heard, and class(p, r) has parent
+// class(p, r-1) and red edges to exactly those class(q, r-1). The seen set
+// is closed after every call, so the DFS stops at the first seen class and
+// the whole run costs O(classes + red edges). It runs under the tree's
+// read lock: every edge it follows points at a class interned in an
+// earlier round, which concurrent Extends never modify.
+func (l *leaderProc) grow() {
+	if !l.seen.Add(l.cur) {
+		return
+	}
 	l.tree.mu.RLock()
-	l.noteLocked(id)
+	l.stack = append(l.stack[:0], l.cur)
+	for len(l.stack) > 0 {
+		id := l.stack[len(l.stack)-1]
+		l.stack = l.stack[:len(l.stack)-1]
+		l.noteLocked(id)
+		n := &l.tree.nodes[id]
+		if n.parent >= 0 && l.seen.Add(n.parent) {
+			l.stack = append(l.stack, n.parent)
+		}
+		for _, e := range l.tree.red(n) {
+			if l.seen.Add(e.Class) {
+				l.stack = append(l.stack, e.Class)
+			}
+		}
+	}
 	l.tree.mu.RUnlock()
 }
 
-// noteLocked is note under the tree's read lock, so a batch of newly
-// visible classes costs one lock acquisition (same-package access; the
-// tree's nodes and arena are append-only under the write lock).
+// noteLocked indexes a newly visible class by level and caches its
+// structure. The caller holds the tree's read lock (same-package access;
+// the tree's nodes and arena are append-only under the write lock).
 func (l *leaderProc) noteLocked(id int32) {
 	for int(id) >= len(l.info) {
 		l.info = append(l.info, classInfo{level: -1})
@@ -295,19 +252,8 @@ func (l *leaderProc) Receive(r int, msgs []runtime.Message) {
 	if l.done {
 		return
 	}
-	start := l.absorb(msgs)
-	// p.delta accumulates across rounds (until a rebase at Send); the
-	// suffix past start is exactly this round's newly visible classes.
-	if start < len(l.delta) {
-		l.tree.mu.RLock()
-		for _, e := range l.delta[start:] {
-			base := e.w << 6
-			for m := e.mask; m != 0; m &= m - 1 {
-				l.noteLocked(base + int32(bits.TrailingZeros64(m)))
-			}
-		}
-		l.tree.mu.RUnlock()
-	}
+	l.proc.Receive(r, msgs)
+	l.grow()
 	l.own = append(l.own, l.cur)
 	l.evaluate(r)
 }

@@ -27,12 +27,16 @@
 // class cardinality exactly (see count.go).
 //
 // Tree is a shared intern table: every distinct class is stored once and
-// identified by a dense int32 id, processes' views are bitsets (View) over
-// those ids, and the per-round "chunk merge" of the paper becomes a bitset
-// OR — the hot path of the protocol. The table is safe for concurrent use
-// so the same Count run executes unchanged on the sequential and sharded
-// engines; the structural Hash is id-free, so canonical
-// message ordering does not depend on the engine's interning order.
+// identified by a dense int32 id. A process's view — the paper's history
+// tree as the process knows it — is exactly the closure of its current
+// class under parent and red edges, so the per-round "chunk merge" of the
+// paper needs no data at all: a broadcast carries only the sender's class,
+// a non-leader's round is one Extend, and the leader grows its view (a
+// View bitset) by a DFS that stops at classes it has already seen. The
+// table is safe for concurrent use so the same Count run executes
+// unchanged on the sequential and sharded engines; the structural Hash is
+// id-free, so canonical message ordering does not depend on the engine's
+// interning order.
 package histtree
 
 import (
@@ -191,7 +195,8 @@ const hashSeed = 14695981039346656037
 // intern index's content hash — where candidates are always verified
 // structurally, so a collision costs a probe, never a wrong id — and the
 // id-free structural hash, where a collision merely perturbs canonical
-// message ordering, which the protocol's commutative merges tolerate.
+// message ordering, which the protocol tolerates: a receiver only counts
+// its senders per class.
 func mixFold(h, v uint64) uint64 {
 	h ^= v
 	h *= 0x9E3779B97F4A7C15 // 2^64 / golden ratio
@@ -283,7 +288,7 @@ func (t *Tree) findExtend(h uint64, parent int32, red []RedEdge) (int32, bool) {
 //
 // The hit path — the class already exists, which is every call but the
 // first per distinct class — takes a read lock and allocates nothing when
-// heard is already sorted by Class (the protocol's absorb always sorts).
+// heard is already sorted by Class (the protocol's Receive always sorts).
 func (t *Tree) Extend(parent int32, heard []RedEdge) int32 {
 	id, _ := t.ExtendHash(parent, heard)
 	return id
@@ -400,10 +405,9 @@ func (t *Tree) Leader(id int32) bool {
 	return n.level == 0 && n.leader
 }
 
-// View is a process's knowledge of the execution: the set of history-tree
-// classes it has created or heard about, as a bitset over intern ids. The
-// per-round merge of two views — the protocol's hot path — is a word-wise
-// OR. The zero View is empty and ready for use.
+// View is a set of history-tree classes as a bitset over intern ids: the
+// leader's knowledge of the execution, grown by closure (see
+// leaderProc.grow). The zero View is empty and ready for use.
 type View struct {
 	bits []uint64
 }
@@ -436,42 +440,6 @@ func (v *View) Add(id int32) bool {
 	v.grow(w)
 	v.bits[w] |= m
 	return true
-}
-
-// Merge ORs another view's snapshot into v.
-func (v *View) Merge(other []uint64) {
-	if len(other) > len(v.bits) {
-		v.grow(len(other) - 1)
-	}
-	for i, w := range other {
-		v.bits[i] |= w
-	}
-}
-
-// MergeCollect ORs other into v and appends every newly set id to out,
-// returning the extended slice. It is the leader-side merge: the caller
-// indexes the new classes incrementally instead of rescanning the bitset.
-func (v *View) MergeCollect(other []uint64, out []int32) []int32 {
-	if len(other) > len(v.bits) {
-		v.grow(len(other) - 1)
-	}
-	for i, w := range other {
-		diff := w &^ v.bits[i]
-		v.bits[i] |= w
-		for diff != 0 {
-			b := bits.TrailingZeros64(diff)
-			out = append(out, int32(i<<6+b))
-			diff &= diff - 1
-		}
-	}
-	return out
-}
-
-// Snapshot returns a copy of the bitset, safe to hand to another process.
-func (v *View) Snapshot() []uint64 {
-	out := make([]uint64, len(v.bits))
-	copy(out, v.bits)
-	return out
 }
 
 // Count returns the number of classes in the view.

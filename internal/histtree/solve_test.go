@@ -38,9 +38,11 @@ func buildChainLeader(t *testing.T, fwd, back []int32) *leaderProc {
 		tr.Extend(xs[i], red)
 	}
 	l := newLeaderProc(tr)
-	for id := int32(1); id < int32(tr.Len()); id++ {
-		l.note(id)
+	tr.mu.RLock()
+	for id := int32(1); id < int32(len(tr.nodes)); id++ {
+		l.noteLocked(id)
 	}
+	tr.mu.RUnlock()
 	l.own = append(l.own, xs[0])
 	if st := l.classify(1); st != pairStable {
 		t.Fatalf("synthetic chain not classified stable: %v", st)

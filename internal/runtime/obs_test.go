@@ -42,6 +42,13 @@ func TestDisabledObsAddsNoAllocations(t *testing.T) {
 // allocate the same: the instrumentation adds counters and clock reads,
 // never allocations.
 func TestObservedRunAddsNoAllocations(t *testing.T) {
+	if raceEnabled {
+		// Under -race the race runtime's own allocations make whole-run
+		// counts unstable: the same uninstrumented run measured twice in a
+		// row reads 82-85 allocs/op, so a one-alloc difference between the
+		// two variants is noise, not obs. Without -race the count is exact.
+		t.Skip("whole-run allocation counts vary run to run under -race")
+	}
 	prev := obs.Global()
 	defer obs.Set(prev)
 	obs.Set(nil)
